@@ -537,10 +537,11 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
       (fun (a, b) -> (V.Int a, V.Int b))
       (Datagen.Workload.random_pairs ~seed:(seed + 11) ~ids:setup.ids sources)
   in
-  let run ?domains engine =
+  let run_counted ?domains engine =
     Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ?domains
       ~engine ~pairs ()
   in
+  let run ?domains engine = fst (run_counted ?domains engine) in
   (* Warm every configuration once — workspace pool, batch scratch and
      allocator — so no timed run pays first-use allocation. *)
   ignore (run `Scalar);
@@ -548,24 +549,20 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
   ignore (run ~domains:2 `Batched);
   ignore (run ~domains:4 `Batched);
   let scalar, t_scalar = time (fun () -> run `Scalar) in
-  (* One batched measurement per domain count: counter deltas from the
+  (* One batched measurement per domain count: the counters of the
      first run (scheduling-independent, so any run would do), time as
      the min of three — symmetric across configurations so the scaling
      ratios compare floors, not noise. *)
   let measure ?domains () =
-    let cb = Graph.Runtime.traversal_counters rt in
-    let sb = Graph.Runtime.sched_counters rt in
-    let outs, t1 = time (fun () -> run ?domains `Batched) in
-    let ca = Graph.Runtime.traversal_counters rt in
-    let sa = Graph.Runtime.sched_counters rt in
+    let (outs, c), t1 = time (fun () -> run_counted ?domains `Batched) in
     let _, t2 = time (fun () -> ignore (run ?domains `Batched)) in
     let _, t3 = time (fun () -> ignore (run ?domains `Batched)) in
     ( outs,
       Float.min t1 (Float.min t2 t3),
-      ca.Graph.Workspace.waves - cb.Graph.Workspace.waves,
-      ca.Graph.Workspace.dir_switches - cb.Graph.Workspace.dir_switches,
-      sa.Graph.Runtime.sc_steals - sb.Graph.Runtime.sc_steals,
-      sa.Graph.Runtime.sc_tasks - sb.Graph.Runtime.sc_tasks )
+      c.Graph.Runtime.traversal.Graph.Workspace.waves,
+      c.Graph.Runtime.traversal.Graph.Workspace.dir_switches,
+      c.Graph.Runtime.sched.Graph.Sched.steals,
+      c.Graph.Runtime.sched.Graph.Sched.tasks )
   in
   let batched, t_batched, waves, switches, steals1, tasks1 = measure () in
   let batched2, t_batched2, waves2, switches2, steals2, tasks2 =

@@ -594,6 +594,66 @@ if grep -qi "sqlgraph_" "$pdir/_manifest.csv"; then
 fi
 echo "   $n_qid wire qids, top fingerprint calls=$top_calls, $n_fp fingerprints, reserved namespace enforced"
 
+echo "== concurrent path queries over one graph-indexed table (4 clients)"
+# Every session of a server shares the cached graph of an indexed edge
+# table. A chain 0 -> 1 -> ... -> 100000 makes each query a long
+# traversal (so session threads switch mid-search) whose answer is known:
+# the distance from a to b >= a is b - a. Any ERR or wrong distance fails.
+gdir=$(mktemp -d /tmp/sqlgraph_check_gq_XXXXXX)
+gsock="$gdir/server.sock"
+trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$gdir"' EXIT
+awk 'BEGIN {
+  print "CREATE TABLE g (src INTEGER, dst INTEGER);"
+  printf "INSERT INTO g VALUES (0, 1)"
+  for (i = 1; i < 100000; i++) printf ", (%d, %d)", i, i + 1
+  print ";"
+}' > "$script"
+"$cli" run "$script" --data-dir "$gdir/data" > "$out" 2>&1 || {
+  echo "FAIL: could not load the chain graph:"
+  tail -5 "$out"
+  exit 1
+}
+"$cli" serve --socket "$gsock" --data-dir "$gdir/data" --warm-index g:src:dst \
+    > "$srv_log" 2>&1 &
+srv_pid=$!
+i=0
+while [ "$i" -lt 100 ] && [ ! -S "$gsock" ]; do sleep 0.1; i=$((i + 1)); done
+[ -S "$gsock" ] || {
+  echo "FAIL: path-query server did not create $gsock:"
+  cat "$srv_log"
+  exit 1
+}
+gpids=""
+for c in 1 2 3 4; do
+  awk -v c="$c" 'BEGIN {
+    srand(c)
+    for (i = 0; i < 100; i++) {
+      a = int(rand() * 50000); b = a + int(rand() * 50000)
+      print "SELECT " a ", " b ", CHEAPEST SUM(1) WHERE " a " REACHES " b " OVER g EDGE (src, dst)"
+    }
+  }' | "$cli" client --socket "$gsock" > "$gdir/c$c" 2>&1 &
+  gpids="$gpids $!"
+done
+for pid in $gpids; do wait "$pid" || true; done
+kill -TERM "$srv_pid" 2>/dev/null || true
+wait "$srv_pid" 2>/dev/null || true
+n_err=$(cat "$gdir"/c* | grep -c "^ERR" || true)
+[ "$n_err" = 0 ] || {
+  echo "FAIL: $n_err concurrent path queries answered ERR:"
+  cat "$gdir"/c* | grep "^ERR" | head -5
+  exit 1
+}
+cat "$gdir"/c* | awk '/^ROW / {
+  sub(/^ROW /, ""); split($0, f, "\t"); n++
+  if (f[3] != f[2] - f[1]) { bad++; if (bad <= 5) print "wrong: " $0 }
+} END {
+  print "   " n " path answers from 4 concurrent clients, " bad + 0 " wrong"
+  exit !(n == 400 && bad == 0)
+}' || {
+  echo "FAIL: concurrent path queries returned wrong or missing distances"
+  exit 1
+}
+
 echo "== replication: failover smoke (8 clients, kill -9 primary mid-burst, promote standby)"
 fpdir=$(mktemp -d /tmp/sqlgraph_check_fp_XXXXXX)
 frdir=$(mktemp -d /tmp/sqlgraph_check_fr_XXXXXX)
@@ -602,7 +662,7 @@ psock="$fpdir/primary.sock"
 rsock="$frdir/standby.sock"
 plog=$(mktemp /tmp/sqlgraph_check_XXXXXX.plog)
 rlog=$(mktemp /tmp/sqlgraph_check_XXXXXX.rlog)
-trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" "$plog" "$rlog" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json BENCH_repl_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$fpdir" "$frdir" "$fackdir"' EXIT
+trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" "$plog" "$rlog" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json BENCH_repl_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$gdir" "$fpdir" "$frdir" "$fackdir"' EXIT
 "$cli" serve --socket "$psock" --data-dir "$fpdir" > "$plog" 2>&1 &
 ppid=$!
 i=0
@@ -748,4 +808,4 @@ dune exec test/json_lint.exe -- --bench-repl BENCH_repl_smoke.json || {
   exit 1
 }
 
-echo "OK: build, tests, fault-injection, EXPLAIN ANALYZE, batched traversal, bench, telemetry, durability, server, sim, introspection and replication smokes all passed"
+echo "OK: build, tests, fault-injection, EXPLAIN ANALYZE, batched traversal, bench, telemetry, durability, server, sim, introspection, concurrent path query and replication smokes all passed"

@@ -28,11 +28,12 @@ type stats = {
   mutable trav_edges : int;
   mutable trav_waves : int;
   mutable trav_dir_switches : int;
-  (* work-stealing scheduler counters for parallel traversal batches *)
+  (* work-stealing scheduler counters; every traversal batch runs
+     through the scheduler, serial ones on a single worker *)
   mutable trav_tasks : int;
   mutable trav_steals : int;
   mutable trav_splits : int;
-  (* workspace-pool outcomes for parallel traversal batches *)
+  (* workspace-pool outcomes, one workspace per batch worker *)
   mutable pool_hits : int;
   mutable pool_misses : int;
   (* expression-evaluation dispatch: column-at-a-time hits vs fallbacks *)
@@ -275,46 +276,45 @@ let finish_state (a : L.agg) st =
 (* The interpreter                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Time a traversal batch and attribute the graph runtime's counter
-   deltas (searches started, vertices settled, edges scanned, per-batch
-   peak frontier) to this execution's stats. *)
-let timed_traversal ctx rt f =
-  let before = Graph.Runtime.traversal_counters rt in
-  let sched_before = Graph.Runtime.sched_counters rt in
+(* Run one traversal batch: time it once, fold the counters
+   [run_pairs] returns for it into this execution's stats, and annotate
+   the operator for EXPLAIN ANALYZE. Every batch passes through the
+   scheduler; its section (tasks, steals, workers, imbalance, pool
+   reuse) is shown for batches that can spread over domains: more than
+   one domain and more than one source group. *)
+let traverse ctx f =
   let t0 = now () in
-  let r = f () in
+  let r, (c : Graph.Runtime.counters) = f () in
   let dt = now () -. t0 in
-  ctx.st.graph_traverse_seconds <- ctx.st.graph_traverse_seconds +. dt;
-  let after = Graph.Runtime.traversal_counters rt in
-  ctx.st.trav_searches <-
-    ctx.st.trav_searches + after.Graph.Workspace.searches
-    - before.Graph.Workspace.searches;
-  ctx.st.trav_settled <-
-    ctx.st.trav_settled + after.Graph.Workspace.settled
-    - before.Graph.Workspace.settled;
-  ctx.st.trav_edges <-
-    ctx.st.trav_edges + after.Graph.Workspace.edges_scanned
-    - before.Graph.Workspace.edges_scanned;
-  ctx.st.trav_waves <-
-    ctx.st.trav_waves + after.Graph.Workspace.waves
-    - before.Graph.Workspace.waves;
-  ctx.st.trav_dir_switches <-
-    ctx.st.trav_dir_switches + after.Graph.Workspace.dir_switches
-    - before.Graph.Workspace.dir_switches;
-  let sched_after = Graph.Runtime.sched_counters rt in
-  ctx.st.trav_tasks <-
-    ctx.st.trav_tasks + sched_after.Graph.Runtime.sc_tasks
-    - sched_before.Graph.Runtime.sc_tasks;
-  ctx.st.trav_steals <-
-    ctx.st.trav_steals + sched_after.Graph.Runtime.sc_steals
-    - sched_before.Graph.Runtime.sc_steals;
-  ctx.st.trav_splits <-
-    ctx.st.trav_splits + sched_after.Graph.Runtime.sc_splits
-    - sched_before.Graph.Runtime.sc_splits;
-  (* run_pairs resets the workspace peak per batch, so [after] is this
-     batch's peak exactly *)
-  ctx.st.trav_peak_frontier <-
-    max ctx.st.trav_peak_frontier after.Graph.Workspace.peak_frontier;
+  let tc = c.traversal and sc = c.sched and st = ctx.st in
+  st.graph_traverse_seconds <- st.graph_traverse_seconds +. dt;
+  st.trav_searches <- st.trav_searches + tc.searches;
+  st.trav_settled <- st.trav_settled + tc.settled;
+  st.trav_edges <- st.trav_edges + tc.edges_scanned;
+  st.trav_waves <- st.trav_waves + tc.waves;
+  st.trav_dir_switches <- st.trav_dir_switches + tc.dir_switches;
+  st.trav_peak_frontier <- max st.trav_peak_frontier tc.peak_frontier;
+  st.trav_tasks <- st.trav_tasks + sc.tasks;
+  st.trav_steals <- st.trav_steals + sc.steals;
+  st.trav_splits <- st.trav_splits + sc.splits;
+  st.pool_hits <- st.pool_hits + c.pool_hits;
+  st.pool_misses <- st.pool_misses + c.pool_misses;
+  note ctx "groups" (string_of_int tc.searches);
+  note ctx "settled" (string_of_int tc.settled);
+  note ctx "edges_scanned" (string_of_int tc.edges_scanned);
+  note ctx "peak_frontier" (string_of_int tc.peak_frontier);
+  if tc.waves > 0 then note ctx "batched_waves" (string_of_int tc.waves);
+  if tc.dir_switches > 0 then
+    note ctx "dir_switches" (string_of_int tc.dir_switches);
+  if ctx.domains > 1 && tc.searches > 1 then begin
+    note ctx "tasks" (string_of_int sc.tasks);
+    note ctx "steals" (string_of_int sc.steals);
+    note ctx "workers" (string_of_int sc.workers);
+    note ctx "imbalance" (string_of_int (Graph.Sched.imbalance_pct sc) ^ "%");
+    note ctx "pool_reuse"
+      (Printf.sprintf "%d/%d" c.pool_hits (c.pool_hits + c.pool_misses))
+  end;
+  note_ms ctx "traverse" dt;
   r
 
 let node_label = function
@@ -891,64 +891,17 @@ and is_unweighted (c : L.cheapest) =
 and run_cheapests ctx rt edges (op : L.graph_op) pairs =
   note ctx "pairs" (string_of_int (Array.length pairs));
   if ctx.domains > 1 then note ctx "domains" (string_of_int ctx.domains);
-  let traverse f =
-    let before = Graph.Runtime.traversal_counters rt in
-    let sched_before = Graph.Runtime.sched_counters rt in
-    let pool_before_h, pool_before_m = Graph.Runtime.pool_stats rt in
-    let t0 = now () in
-    let r = timed_traversal ctx rt f in
-    let dt = now () -. t0 in
-    let after = Graph.Runtime.traversal_counters rt in
-    let sched_after = Graph.Runtime.sched_counters rt in
-    let pool_after_h, pool_after_m = Graph.Runtime.pool_stats rt in
-    ctx.st.pool_hits <- ctx.st.pool_hits + pool_after_h - pool_before_h;
-    ctx.st.pool_misses <- ctx.st.pool_misses + pool_after_m - pool_before_m;
-    note ctx "groups"
-      (string_of_int (after.Graph.Workspace.searches - before.Graph.Workspace.searches));
-    note ctx "settled"
-      (string_of_int (after.Graph.Workspace.settled - before.Graph.Workspace.settled));
-    note ctx "edges_scanned"
-      (string_of_int
-         (after.Graph.Workspace.edges_scanned - before.Graph.Workspace.edges_scanned));
-    note ctx "peak_frontier" (string_of_int after.Graph.Workspace.peak_frontier);
-    (let waves = after.Graph.Workspace.waves - before.Graph.Workspace.waves in
-     if waves > 0 then note ctx "batched_waves" (string_of_int waves));
-    (let sw =
-       after.Graph.Workspace.dir_switches - before.Graph.Workspace.dir_switches
-     in
-     if sw > 0 then note ctx "dir_switches" (string_of_int sw));
-    (* Work-stealing scheduler section: present whenever this batch ran
-       through the parallel path. *)
-    (let tasks =
-       sched_after.Graph.Runtime.sc_tasks - sched_before.Graph.Runtime.sc_tasks
-     in
-     if tasks > 0 then begin
-       note ctx "tasks" (string_of_int tasks);
-       note ctx "steals"
-         (string_of_int
-            (sched_after.Graph.Runtime.sc_steals
-            - sched_before.Graph.Runtime.sc_steals));
-       note ctx "workers"
-         (string_of_int sched_after.Graph.Runtime.sc_workers);
-       note ctx "imbalance"
-         (string_of_int sched_after.Graph.Runtime.sc_imbalance_pct ^ "%")
-     end);
-    (if pool_after_h + pool_after_m > pool_before_h + pool_before_m then
-       note ctx "pool_reuse"
-         (Printf.sprintf "%d/%d"
-            (pool_after_h - pool_before_h)
-            (pool_after_h - pool_before_h + pool_after_m - pool_before_m)));
-    note_ms ctx "traverse" dt;
-    r
+  let run_pairs weights () =
+    Graph.Runtime.run_pairs rt ~weights ~domains:ctx.domains ~check:ctx.check
+      ~pairs ()
+  in
+  let reached =
+    Array.map (function
+      | Graph.Runtime.Unreachable -> false
+      | Graph.Runtime.Reached _ -> true)
   in
   match op.L.cheapests with
-  | [] ->
-    let reach =
-      traverse (fun () ->
-          Graph.Runtime.reachable ~check:ctx.check ~domains:ctx.domains rt
-            ~pairs)
-    in
-    (reach, [])
+  | [] -> (reached (traverse ctx (run_pairs Graph.Runtime.Unweighted)), [])
   | cheapests ->
     let outcomes =
       List.map
@@ -957,19 +910,10 @@ and run_cheapests ctx rt edges (op : L.graph_op) pairs =
             if is_unweighted c then Graph.Runtime.Unweighted
             else eval_weights ctx edges c
           in
-          ( c,
-            traverse (fun () ->
-                Graph.Runtime.run_pairs rt ~weights ~domains:ctx.domains
-                  ~check:ctx.check ~pairs ()) ))
+          (c, traverse ctx (run_pairs weights)))
         cheapests
     in
-    let _, first = List.hd outcomes in
-    let reach =
-      Array.map
-        (function Graph.Runtime.Unreachable -> false | Graph.Runtime.Reached _ -> true)
-        first
-    in
-    (reach, outcomes)
+    (reached (snd (List.hd outcomes)), outcomes)
 
 and extra_columns edges outcomes kept =
   List.concat_map

@@ -16,23 +16,17 @@ type build_stats = {
   edge_count : int;
 }
 
+(* A built graph holds no per-query mutable state apart from the spare
+   workspaces in [pool]: every session of a server shares one cached
+   runtime, so each batch takes private workspaces under [pool_lock] and
+   returns them after its workers have joined. *)
 type t = {
   dict : Vertex_dict.t;
   csr : Csr.t;
-  ws : Workspace.t;
   stats : build_stats;
   mutable rev : Csr.t option;  (* reverse CSR, built on demand, kept *)
-  mutable pool : Workspace.t list;  (* spare workspaces for domains *)
-  mutable pool_hits : int;
-  mutable pool_misses : int;
-  (* Work-stealing scheduler observability (parallel batches only):
-     tasks/steals/splits accumulate across batches; workers and
-     imbalance describe the most recent parallel batch. *)
-  mutable sched_tasks : int;
-  mutable sched_steals : int;
-  mutable sched_splits : int;
-  mutable sched_workers : int;
-  mutable sched_imbalance : int;
+  pool_lock : Mutex.t;
+  mutable pool : Workspace.t list;
 }
 
 let build_multi ~src ~dst =
@@ -59,7 +53,6 @@ let build_multi ~src ~dst =
   {
     dict;
     csr;
-    ws = Workspace.create vertex_count;
     stats =
       {
         dict_seconds = t1 -. t0;
@@ -70,14 +63,8 @@ let build_multi ~src ~dst =
         edge_count = Csr.edge_count csr;
       };
     rev = None;
+    pool_lock = Mutex.create ();
     pool = [];
-    pool_hits = 0;
-    pool_misses = 0;
-    sched_tasks = 0;
-    sched_steals = 0;
-    sched_splits = 0;
-    sched_workers = 0;
-    sched_imbalance = 0;
   }
 
 let build ~src ~dst = build_multi ~src:[ src ] ~dst:[ dst ]
@@ -91,50 +78,40 @@ let prepare_bidir t =
   match t.rev with None -> t.rev <- Some (Csr.reverse t.csr) | Some _ -> ()
 
 let has_bidir t = t.rev <> None
-let pool_stats t = (t.pool_hits, t.pool_misses)
 
-(* Workspace pool for parallel batches. Acquire/release happen only on the
-   coordinating thread — before Domain.spawn and after Domain.join — so no
-   lock is needed; the join provides the happens-before edge that makes
-   reading the domain's counter writes safe. Released workspaces first fold
-   their counters into the shared workspace, then reset, so a pooled
-   workspace always starts clean. *)
-let acquire_ws t =
-  match t.pool with
-  | ws :: rest ->
-    t.pool <- rest;
-    t.pool_hits <- t.pool_hits + 1;
-    ws
-  | [] ->
-    t.pool_misses <- t.pool_misses + 1;
-    Workspace.create t.stats.vertex_count
-
-let release_ws t ws =
-  Workspace.absorb_counters ~into:t.ws ws;
-  Workspace.reset_counters ws;
-  t.pool <- ws :: t.pool
-
-(* Cumulative traversal counters live on the shared workspace; parallel
-   runs absorb their private workspaces back into it, so a snapshot
-   before/after any batch yields a per-batch delta. *)
-let traversal_counters t = Workspace.snapshot_counters t.ws
-
-type sched_counters = {
-  sc_tasks : int;
-  sc_steals : int;
-  sc_splits : int;
-  sc_workers : int;
-  sc_imbalance_pct : int;
+type counters = {
+  traversal : Workspace.counters;
+  sched : Sched.stats;
+  pool_hits : int;
+  pool_misses : int;
 }
 
-let sched_counters t =
-  {
-    sc_tasks = t.sched_tasks;
-    sc_steals = t.sched_steals;
-    sc_splits = t.sched_splits;
-    sc_workers = t.sched_workers;
-    sc_imbalance_pct = t.sched_imbalance;
-  }
+(* [acquire_ws t n] — [n] workspaces for one batch and how many came from
+   the pool; the rest are allocated outside the lock. *)
+let acquire_ws t n =
+  let reused =
+    Mutex.protect t.pool_lock (fun () ->
+        let rec take k acc =
+          match t.pool with
+          | ws :: rest when k > 0 ->
+            t.pool <- rest;
+            take (k - 1) (ws :: acc)
+          | _ -> acc
+        in
+        take n [])
+  in
+  let hits = List.length reused in
+  let fresh =
+    List.init (n - hits) (fun _ -> Workspace.create t.stats.vertex_count)
+  in
+  (Array.of_list (reused @ fresh), hits)
+
+(* Workspaces go back with their counters reset, so a pooled workspace
+   always starts a batch clean. *)
+let release_ws t wss =
+  Array.iter Workspace.reset_counters wss;
+  Mutex.protect t.pool_lock (fun () ->
+      t.pool <- Array.fold_left (fun pool ws -> ws :: pool) t.pool wss)
 
 type weights =
   | Unweighted
@@ -250,7 +227,7 @@ let run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws (source, entries) =
 (* One MS-BFS wave over <= Msbfs.max_lanes source groups: lane i is the
    search rooted at groups.(i). Outcomes are extracted before the next
    wave reuses the batch scratch. *)
-let run_wave t ~check ~rev ~out ~retiring ws groups =
+let run_wave t ~check ~rev ~out ws groups =
   let sp =
     if Tr.enabled () then
       Tr.begin_span ~attrs:[ ("lanes", string_of_int (Array.length groups)) ]
@@ -267,8 +244,7 @@ let run_wave t ~check ~rev ~out ~retiring ws groups =
       groups;
     Array.of_list !acc
   in
-  (if retiring then Msbfs.run_retiring ~check ?rev ws t.csr ~sources ~targets
-   else Msbfs.run ~check ?rev ws t.csr ~sources ~targets);
+  Msbfs.run ~check ?rev ws t.csr ~sources ~targets;
   Array.iteri
     (fun lane (source, entries) ->
       List.iter
@@ -281,61 +257,74 @@ let run_wave t ~check ~rev ~out ~retiring ws groups =
         entries)
     groups
 
-let run_batched t ~check ~rev ~out ws groups =
-  let arr = Array.of_list groups in
-  let n = Array.length arr in
-  let i = ref 0 in
-  while !i < n do
-    let len = min Msbfs.max_lanes (n - !i) in
-    run_wave t ~check ~rev ~out ~retiring:false ws (Array.sub arr !i len);
-    i := !i + len
-  done
+(* Every batch runs one fixed task partition under the work-stealing
+   scheduler (Sched). The partition depends on the batch alone, never on
+   the worker count or steal order. Batched groups are sorted by source
+   id and cut into ⌈G/63⌉ contiguous waves of near-equal lane counts —
+   partition-aware: the lanes of one wave root in one contiguous
+   vertex-id range of the CSR, and balanced widths avoid the runt wave a
+   greedy 63-at-a-time cut produces. Scalar groups run one per task,
+   largest first. A task is a range over that fixed sequence: a worker
+   executes one wave/group and pushes the remainder back on its deque,
+   which is exactly the granularity thieves steal at. With one worker
+   (domains = 1, or one task) the scheduler runs inline and spawns no
+   domain.
 
-(* The parallel path: a work-stealing scheduler (Sched) over a task
-   partition that is fixed up front, independent of the worker count and
-   of steal order. Batched groups are sorted by source id and cut into
-   ⌈G/63⌉ contiguous waves of near-equal lane counts — partition-aware:
-   the lanes of one wave root in one contiguous vertex-id range of the
-   CSR, and balanced widths avoid the runt wave a greedy 63-at-a-time
-   cut produces (a runt sweeps the same graph for a fraction of the
-   lanes). Scalar (Dijkstra) groups run one per task in the size-sorted
-   order. A task is a range over that fixed sequence: a worker executes
-   one wave/group and pushes the remainder back on its deque, which is
-   exactly the granularity thieves steal at.
-
-   Because the partition is fixed, every workspace counter depends only
-   on the batch — identical for any domains >= 2 — and the per-worker
-   workspaces are absorbed into the shared one *after* every worker has
-   joined, on the coordinator, in worker-index order: absorption is
-   deterministic and conserves every count. The governor checkpoint is
-   still shared across workers (its budget counters are monotone and
-   advisory); a raise in any kernel stops the other workers at their
-   next task boundary and resurfaces after the join. *)
-let run_sched t ~slot_w ~heap ~check ~rev ~out ~domains ~oversubscribe
-    ~batched group_list =
-  let batched_groups =
-    if batched then
-      Array.of_list
-        (List.sort (fun (s1, _) (s2, _) -> compare (s1 : int) s2) group_list)
-    else [||]
+   Because the partition is fixed, every traversal counter depends only
+   on the batch — identical for any [domains] — and the per-worker
+   counters are summed after the join, in worker-index order. The
+   governor checkpoint is shared across workers (its budget counters are
+   monotone and advisory); a raise in any kernel stops the other workers
+   at their next task boundary and resurfaces after the join. *)
+let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
+    ?(check = Cancel.none) ?(engine = `Auto) ?(oversubscribe = false) ~pairs
+    () =
+  Tr.span "traversal_batch" @@ fun () ->
+  let slot_w =
+    match weights with
+    | Unweighted -> `None
+    | Int_weights per_row -> `Int (slot_weights_int t per_row)
+    | Float_weights per_row -> `Float (slot_weights_float t per_row)
   in
-  let scalar_groups = if batched then [||] else Array.of_list group_list in
-  let g = Array.length batched_groups in
+  let encoded = encode_pairs t pairs in
+  let alias = dedup_pairs encoded in
+  let by_source = group_by_source encoded alias in
+  let out = Array.make (Array.length pairs) Unreachable in
+  (* The batched engine answers unweighted multi-source batches 63 lanes
+     per sweep; weighted traversal stays on per-source Dijkstra. *)
+  let batched =
+    match slot_w, (engine : engine) with
+    | `None, `Batched -> true
+    | `None, `Auto -> Hashtbl.length by_source > 1
+    | _ -> false
+  in
+  (* Batched groups ascend by source id (the wave cut above); scalar
+     groups go largest first by pending pair count, source id breaking
+     ties. Either order is independent of hash-table iteration order. *)
+  let order =
+    if batched then fun (s1, _) (s2, _) -> compare (s1 : int) s2
+    else fun (s1, e1) (s2, e2) ->
+      let c = compare (List.length e2) (List.length e1) in
+      if c <> 0 then c else compare s1 s2
+  in
+  let groups =
+    Hashtbl.fold (fun s e acc -> (s, e) :: acc) by_source []
+    |> List.sort order |> Array.of_list
+  in
+  let g = Array.length groups in
   let ntasks =
-    if batched then (g + Msbfs.max_lanes - 1) / Msbfs.max_lanes
-    else Array.length scalar_groups
+    if batched then (g + Msbfs.max_lanes - 1) / Msbfs.max_lanes else g
   in
+  let rev = t.rev in
   let workers = Sched.plan ~oversubscribe ~domains ntasks in
-  let wss = Array.init workers (fun _ -> acquire_ws t) in
+  let wss, pool_hits = acquire_ws t workers in
   let exec ~worker (lo, hi) =
     let ws = wss.(worker) in
     (if batched then begin
        let glo = lo * g / ntasks and ghi = (lo + 1) * g / ntasks in
-       run_wave t ~check ~rev ~out ~retiring:true ws
-         (Array.sub batched_groups glo (ghi - glo))
+       run_wave t ~check ~rev ~out ws (Array.sub groups glo (ghi - glo))
      end
-     else run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws
-         scalar_groups.(lo));
+     else run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws groups.(lo));
     if lo + 1 < hi then Some (lo + 1, hi) else None
   in
   let tasks =
@@ -356,72 +345,17 @@ let run_sched t ~slot_w ~heap ~check ~rev ~out ~domains ~oversubscribe
     in
     Fun.protect ~finally:(fun () -> Tr.end_span sp) body
   in
-  let stats =
+  let sched, traversal =
     Fun.protect
-      ~finally:(fun () -> Array.iter (release_ws t) wss)
-      (fun () -> Sched.run ~around ~workers ~tasks ~exec ())
+      ~finally:(fun () -> release_ws t wss)
+      (fun () ->
+        let sched = Sched.run ~around ~workers ~tasks ~exec () in
+        (sched, Workspace.sum_counters wss))
   in
-  t.sched_tasks <- t.sched_tasks + stats.Sched.tasks;
-  t.sched_steals <- t.sched_steals + stats.Sched.steals;
-  t.sched_splits <- t.sched_splits + stats.Sched.splits;
-  t.sched_workers <- stats.Sched.workers;
-  t.sched_imbalance <- Sched.imbalance_pct stats
-
-let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
-    ?(check = Cancel.none) ?(engine = `Auto) ?(oversubscribe = false) ~pairs
-    () =
-  Tr.span "traversal_batch" @@ fun () ->
-  (* searches/settled/edges accumulate across batches (delta-friendly);
-     the peak frontier restarts per batch so callers can attribute an
-     exact per-batch peak. *)
-  (Workspace.counters t.ws).Workspace.peak_frontier <- 0;
-  let slot_w =
-    match weights with
-    | Unweighted -> `None
-    | Int_weights per_row -> `Int (slot_weights_int t per_row)
-    | Float_weights per_row -> `Float (slot_weights_float t per_row)
-  in
-  let encoded = encode_pairs t pairs in
-  let alias = dedup_pairs encoded in
-  let groups = group_by_source encoded alias in
-  let out = Array.make (Array.length pairs) Unreachable in
-  (* Largest group first (by pending pair count, source id breaking ties)
-     so the group order is independent of hash-table iteration order;
-     [run_sched] re-sorts batched groups by source id before cutting
-     waves, and weighted scalar groups become one task each, so this
-     only needs to be deterministic, not balanced. *)
-  let group_list =
-    Hashtbl.fold (fun s e acc -> (s, e) :: acc) groups []
-    |> List.sort (fun (s1, e1) (s2, e2) ->
-           let c = compare (List.length e2) (List.length e1) in
-           if c <> 0 then c else compare s1 s2)
-  in
-  (* The batched engine answers unweighted multi-source batches 63 lanes
-     per sweep; weighted traversal stays on per-source Dijkstra. *)
-  let batched =
-    match slot_w, (engine : engine) with
-    | `None, `Batched -> true
-    | `None, `Auto -> List.length group_list > 1
-    | _ -> false
-  in
-  let rev = t.rev in
-  let run_chunk ws chunk =
-    if batched then run_batched t ~check ~rev ~out ws chunk
-    else List.iter (run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws) chunk
-  in
-  if domains <= 1 || List.length group_list <= 1 then
-    run_chunk t.ws group_list
-  else
-    (* §6's parallelism, scheduled by work stealing: the CSR and weights
-       are shared read-only, every worker owns a private (pooled)
-       workspace, and outcomes land in disjoint slots — see [run_sched]
-       for the task partition and the determinism argument. *)
-    run_sched t ~slot_w ~heap ~check ~rev ~out ~domains ~oversubscribe
-      ~batched group_list;
   (* Fan the canonical outcomes back out to the deduplicated pairs. *)
   Array.iteri (fun idx a -> if a >= 0 then out.(idx) <- out.(a)) alias;
-  out
+  (out, { traversal; sched; pool_hits; pool_misses = workers - pool_hits })
 
 let reachable ?(check = Cancel.none) ?domains t ~pairs =
-  let outcomes = run_pairs t ~weights:Unweighted ~check ?domains ~pairs () in
+  let outcomes, _ = run_pairs t ~weights:Unweighted ~check ?domains ~pairs () in
   Array.map (function Unreachable -> false | Reached _ -> true) outcomes

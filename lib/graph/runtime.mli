@@ -5,8 +5,10 @@
     encodes the vertices into the dense domain [H = {0..|V|-1}], (2) builds
     a CSR, and (3) answers batches of ⟨source, destination⟩ pairs with
     reachability, shortest-path cost and one shortest path per pair.
-    Multiple batches may run against the same built graph — the
-    amortisation that §4's second experiment measures. *)
+    Multiple batches may run against the same built graph, concurrently
+    too — the amortisation that §4's second experiment measures. A built
+    graph keeps no per-query state: each batch takes private workspaces
+    from a locked pool and returns its own counters. *)
 
 exception Weight_error of string
 (** Raised when a weight expression evaluates to NULL or to a value not
@@ -51,36 +53,6 @@ val prepare_bidir : t -> unit
 
 val has_bidir : t -> bool
 
-(** [pool_stats t] — [(hits, misses)] of the workspace pool used by
-    parallel batches: a hit reuses a workspace released by an earlier
-    batch, a miss allocates a fresh one. *)
-val pool_stats : t -> int * int
-
-(** [traversal_counters t] — a snapshot of the cumulative traversal
-    counters (searches, settled vertices, peak frontier, edges scanned)
-    accumulated by every batch run against this graph. Parallel batches
-    fold their per-worker counters in deterministically (on the
-    coordinator, in worker-index order, after every worker has joined)
-    before {!run_pairs} returns, so before/after snapshots delimit one
-    batch exactly and the totals are conserved and reproducible for any
-    worker count. *)
-val traversal_counters : t -> Workspace.counters
-
-(** Work-stealing scheduler observability (parallel batches only).
-    [sc_tasks]/[sc_steals]/[sc_splits] accumulate across batches
-    (delta-friendly, like {!traversal_counters}); [sc_workers] and
-    [sc_imbalance_pct] (100·(max−min)/max over per-worker task counts)
-    describe the most recent parallel batch. *)
-type sched_counters = {
-  sc_tasks : int;
-  sc_steals : int;
-  sc_splits : int;
-  sc_workers : int;
-  sc_imbalance_pct : int;
-}
-
-val sched_counters : t -> sched_counters
-
 (** Edge weights, indexed by *edge-table row* (the runtime re-aligns them
     to CSR slots internally). [Unweighted] is the paper's
     [CHEAPEST SUM(1)]: BFS, cost = hop count. *)
@@ -106,35 +78,48 @@ type outcome =
           [edge_rows] is one shortest path as edge-table rows in
           source→destination order — empty when source = destination. *)
 
-(** [run_pairs t ~weights ~heap ~domains ~pairs] answers every pair.
+(** Counters of one {!run_pairs} batch. [traversal] sums the kernels'
+    counters over every worker (peak frontier by max); [sched] is the
+    scheduler's view of the batch (use {!Sched.imbalance_pct} for the
+    worker imbalance); [pool_hits]/[pool_misses] count the workspaces
+    the batch reused from the runtime's pool and allocated fresh. *)
+type counters = {
+  traversal : Workspace.counters;
+  sched : Sched.stats;
+  pool_hits : int;
+  pool_misses : int;
+}
+
+(** [run_pairs t ~weights ~heap ~domains ~pairs] answers every pair and
+    returns the outcomes (in pair order) with the batch's {!counters}.
     Pairs sharing a source value share one traversal; identical
     ⟨source, destination⟩ pairs are answered once and fanned back out.
-    [heap] picks the
-    Dijkstra queue for integer weights (default [Radix], the paper's
-    choice); it is ignored for BFS and float weights.
+    [heap] picks the Dijkstra queue for integer weights (default
+    [Radix], the paper's choice); it is ignored for BFS and float
+    weights.
 
-    [domains] (default 1) runs the traversals through the work-stealing
-    scheduler ({!Sched}) — the parallelism the paper's §6 suggests. The
-    CSR is shared read-only; every worker owns a deque of task ranges
-    over a fixed partition (unweighted: source groups sorted by vertex
-    id and cut into contiguous balanced MS-BFS waves, run by the
-    lane-retiring kernel; weighted: one Dijkstra group per task) and a
-    private workspace from the runtime's pool, steals from siblings
-    when its own deque drains, and results land in disjoint slots — so
-    output is byte-identical to the sequential run and workspace
-    counters are identical for any [domains >= 2]. The worker count is
-    clamped to the machine's usable cores (oversubscribing domains
-    turns minor GCs into cross-domain synchronisation);
-    [oversubscribe] (default false) lifts that clamp for tests that
-    must exercise multi-worker stealing on small machines.
+    Every batch runs through the work-stealing scheduler ({!Sched}) over
+    a task partition fixed by the batch alone (unweighted: source
+    groups sorted by vertex id and cut into contiguous balanced MS-BFS
+    waves; weighted: one Dijkstra group per task). [domains] (default 1)
+    bounds the worker count — the parallelism the paper's §6 suggests;
+    with one worker the batch runs inline on the caller. The CSR is
+    shared read-only, every worker takes a private workspace from the
+    runtime's pool (under a lock, so concurrent sessions may share one
+    runtime), and results land in disjoint slots — so outcomes and
+    traversal counters are identical for any [domains]. The worker count
+    is clamped to the machine's usable cores (oversubscribing domains
+    turns minor GCs into cross-domain synchronisation); [oversubscribe]
+    (default false) lifts that clamp for tests that must exercise
+    multi-worker stealing on small machines.
 
     [engine] selects the unweighted traversal engine (see {!engine});
     the default [`Auto] batches multi-source workloads through MS-BFS.
 
     [check] (default {!Cancel.none}) is forwarded into every kernel so a
-    governor can cancel or budget the batch; with [domains > 1] the same
-    closure is shared by all workers and a raise stops the others at
-    their next task boundary, resurfacing after the join.
+    governor can cancel or budget the batch; with several workers the
+    same closure is shared by all of them and a raise stops the others
+    at their next task boundary, resurfacing after the join.
 
     Raises {!Weight_error} on invalid weights (checked for every edge that
     participates in the graph, before any traversal). *)
@@ -148,7 +133,7 @@ val run_pairs :
   ?oversubscribe:bool ->
   pairs:(Storage.Value.t * Storage.Value.t) array ->
   unit ->
-  outcome array
+  outcome array * counters
 
 (** [reachable t ~pairs] — reachability only: runs BFS and discards paths,
     as the paper's runtime does for bare REACHES predicates. [domains] as

@@ -1,20 +1,19 @@
 (* Work-stealing scheduler for traversal tasks.
 
-   [Runtime.run_pairs] used to deal source groups to domains round-robin
-   into fixed chunks; a domain that drew the light chunks idled while the
-   heavy ones finished, and every chunk paid workspace acquisition even
-   when it held one tiny group. Here each worker owns a {!Deque} of task
-   ranges instead: it pops locally (LIFO), executes one step, pushes the
+   Every [Runtime.run_pairs] batch, whatever its [domains], runs its
+   fixed task partition here. Each worker owns a {!Deque} of task
+   ranges: it pops locally (LIFO), executes one step, pushes the
    remainder back, and steals the oldest range from a sibling when its
    own deque runs dry — so a skewed task distribution keeps every worker
    busy without any up-front balancing.
 
    Worker 0 runs on the calling domain; workers 1..n-1 are spawned and
-   joined before [run] returns, so no domain outlives the batch.
-   Exceptions from [exec] are captured in a first-failure cell; the
-   other workers stop at their next task boundary and the first failure
-   re-raises on the caller after every domain has joined — same contract
-   the fixed-chunk scheduler had.
+   joined before [run] returns, so no domain outlives the batch. A batch
+   planned for one worker (domains = 1, or a single task) therefore runs
+   inline and spawns nothing. Exceptions from [exec] are captured in a
+   first-failure cell; the other workers stop at their next task
+   boundary and the first failure re-raises on the caller after every
+   domain has joined.
 
    [plan] clamps the worker count to what the hardware can actually run
    ([Domain.recommended_domain_count]): on a machine with fewer cores

@@ -1,11 +1,12 @@
 (** Work-stealing scheduler for traversal tasks.
 
-    Replaces the fixed round-robin chunk assignment [Runtime.run_pairs]
-    used for [domains > 1]: each worker owns a {!Deque} of task ranges,
-    executes one step at a time (pushing the remainder back so thieves
-    can take it), and steals the oldest range from a sibling when its
-    own deque runs dry. Skewed task distributions therefore keep every
-    worker busy instead of idling the unlucky chunks.
+    Every [Runtime.run_pairs] batch runs here, serial ones included: a
+    single worker runs inline on the caller and spawns no domain. Each
+    worker owns a {!Deque} of task ranges, executes one step at a time
+    (pushing the remainder back so thieves can take it), and steals the
+    oldest range from a sibling when its own deque runs dry. Skewed task
+    distributions therefore keep every worker busy instead of idling the
+    unlucky chunks.
 
     Determinism: the scheduler never decides *what* the tasks are — the
     caller fixes the task partition up front — so results written to

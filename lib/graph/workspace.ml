@@ -201,16 +201,6 @@ let clear_target t v = t.target_stamp.(v) <- 0
 
 let counters t = t.counters
 
-let snapshot_counters t =
-  {
-    searches = t.counters.searches;
-    settled = t.counters.settled;
-    peak_frontier = t.counters.peak_frontier;
-    edges_scanned = t.counters.edges_scanned;
-    waves = t.counters.waves;
-    dir_switches = t.counters.dir_switches;
-  }
-
 let note_settled t = t.counters.settled <- t.counters.settled + 1
 
 let note_frontier t n =
@@ -223,14 +213,19 @@ let note_wave t = t.counters.waves <- t.counters.waves + 1
 let note_dir_switch t =
   t.counters.dir_switches <- t.counters.dir_switches + 1
 
-let absorb_counters ~into src =
-  let c = into.counters in
-  c.searches <- c.searches + src.counters.searches;
-  c.settled <- c.settled + src.counters.settled;
-  c.peak_frontier <- max c.peak_frontier src.counters.peak_frontier;
-  c.edges_scanned <- c.edges_scanned + src.counters.edges_scanned;
-  c.waves <- c.waves + src.counters.waves;
-  c.dir_switches <- c.dir_switches + src.counters.dir_switches
+let sum_counters wss =
+  let c = fresh_counters () in
+  Array.iter
+    (fun ws ->
+      let s = ws.counters in
+      c.searches <- c.searches + s.searches;
+      c.settled <- c.settled + s.settled;
+      c.peak_frontier <- max c.peak_frontier s.peak_frontier;
+      c.edges_scanned <- c.edges_scanned + s.edges_scanned;
+      c.waves <- c.waves + s.waves;
+      c.dir_switches <- c.dir_switches + s.dir_switches)
+    wss;
+  c
 
 let reset_counters t =
   let c = t.counters in

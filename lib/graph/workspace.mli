@@ -11,10 +11,10 @@
     {!batch} scratch of per-vertex lane bitmasks, frontier vertex lists
     and per-discovery parent records. *)
 
-(** Cumulative traversal counters, fed by the kernels and read by the
-    executor's [EXPLAIN ANALYZE] instrumentation. A workspace accumulates
-    across searches; snapshot before/after an operator and subtract to
-    attribute counts to it. *)
+(** Traversal counters, fed by the kernels. A workspace accumulates
+    across searches until {!reset_counters}; the graph runtime resets
+    each pooled workspace after every batch and reports the batch's
+    totals ({!sum_counters}) with its outcomes. *)
 type counters = {
   mutable searches : int;  (** searches started (one per source, incl. MS-BFS lanes) *)
   mutable settled : int;  (** vertices settled (BFS pops / final Dijkstra pops) *)
@@ -108,9 +108,6 @@ val clear_target : t -> int -> unit
 
 val counters : t -> counters
 
-(** [snapshot_counters t] — an independent copy (for before/after deltas). *)
-val snapshot_counters : t -> counters
-
 val note_settled : t -> unit
 
 (** [note_frontier t n] — record a frontier of size [n] (tracks the peak). *)
@@ -124,9 +121,9 @@ val note_wave : t -> unit
 (** [note_dir_switch t] — count one top-down <-> bottom-up switch. *)
 val note_dir_switch : t -> unit
 
-(** [absorb_counters ~into src] — fold [src]'s counters into [into]
-    (sums; peak frontier by max). Used to merge the private workspaces of
-    parallel traversal domains back into the shared one. *)
-val absorb_counters : into:t -> t -> unit
+(** [sum_counters wss] — a fresh record folding the counters of [wss]
+    in array order (sums; peak frontier by max). Used to total the
+    private workspaces of one traversal batch's workers. *)
+val sum_counters : t array -> counters
 
 val reset_counters : t -> unit

@@ -321,7 +321,7 @@ let prop_bfs_matches_reference =
               ( V.Int (Random.State.int rng n),
                 V.Int (Random.State.int rng n) ))
         in
-        let outcomes = Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~pairs () in
+        let outcomes = fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~pairs () in
         Array.for_all2
           (fun (s, d) outcome ->
             let s = match s with V.Int x -> x | _ -> assert false in
@@ -371,7 +371,7 @@ let prop_dijkstra_matches_reference ~heap name =
               (V.Int (Random.State.int rng n), V.Int (Random.State.int rng n)))
         in
         let outcomes =
-          Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights weights)
+          fst @@ Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights weights)
             ~heap ~pairs ()
         in
         Array.for_all2
@@ -425,7 +425,7 @@ let prop_radix_equals_binary =
             (function
               | Graph.Runtime.Unreachable -> None
               | Graph.Runtime.Reached { cost; _ } -> Some cost)
-            (Graph.Runtime.run_pairs rt
+            (fst @@ Graph.Runtime.run_pairs rt
                ~weights:(Graph.Runtime.Int_weights weights) ~heap ~pairs ())
         in
         costs Graph.Dijkstra.Radix = costs Graph.Dijkstra.Binary
@@ -451,11 +451,11 @@ let prop_float_weights_match_scaled_int =
               (V.Int (Random.State.int rng n), V.Int (Random.State.int rng n)))
         in
         let ints =
-          Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights int_w)
+          fst @@ Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights int_w)
             ~pairs ()
         in
         let floats =
-          Graph.Runtime.run_pairs rt
+          fst @@ Graph.Runtime.run_pairs rt
             ~weights:(Graph.Runtime.Float_weights float_w) ~pairs ()
         in
         Array.for_all2
@@ -482,7 +482,7 @@ let diamond_runtime () =
 let test_runtime_source_equals_dest () =
   let rt = diamond_runtime () in
   let outcomes =
-    Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+    fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
       ~pairs:[| (V.Int 1, V.Int 1) |] ()
   in
   match outcomes.(0) with
@@ -492,7 +492,7 @@ let test_runtime_source_equals_dest () =
 let test_runtime_nonexistent_vertices () =
   let rt = diamond_runtime () in
   let outcomes =
-    Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+    fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
       ~pairs:[| (V.Int 99, V.Int 1); (V.Int 1, V.Int 99); (V.Null, V.Int 1) |]
       ()
   in
@@ -506,7 +506,7 @@ let test_runtime_weighted_picks_cheap_detour () =
   let rt = diamond_runtime () in
   let weights = [| 1; 10; 1; 1 |] in
   let outcomes =
-    Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights weights)
+    fst @@ Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights weights)
       ~pairs:[| (V.Int 1, V.Int 3) |] ()
   in
   match outcomes.(0) with
@@ -517,7 +517,7 @@ let test_runtime_weighted_picks_cheap_detour () =
 let test_runtime_direction_matters () =
   let rt = diamond_runtime () in
   let outcomes =
-    Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+    fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
       ~pairs:[| (V.Int 4, V.Int 1) |] ()
   in
   check tbool "edges are directed" true (outcomes.(0) = Graph.Runtime.Unreachable)
@@ -526,7 +526,7 @@ let test_runtime_weight_validation () =
   let rt = diamond_runtime () in
   let attempt weights =
     match
-      Graph.Runtime.run_pairs rt ~weights ~pairs:[| (V.Int 1, V.Int 4) |] ()
+      fst @@ Graph.Runtime.run_pairs rt ~weights ~pairs:[| (V.Int 1, V.Int 4) |] ()
     with
     | exception Graph.Runtime.Weight_error _ -> true
     | _ -> false
@@ -544,7 +544,7 @@ let test_runtime_batch_shares_source () =
   let pairs =
     [| (V.Int 1, V.Int 2); (V.Int 1, V.Int 4); (V.Int 2, V.Int 4) |]
   in
-  let outcomes = Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~pairs () in
+  let outcomes = fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~pairs () in
   let cost i =
     match outcomes.(i) with
     | Graph.Runtime.Reached { cost = V.Int c; _ } -> c
@@ -573,10 +573,10 @@ let prop_parallel_equals_sequential =
             (V.Int (Random.State.int rng n), V.Int (Random.State.int rng n)))
       in
       let seq =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~pairs ()
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~pairs ()
       in
       let par =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~domains:4
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~domains:4
           ~pairs ()
       in
       seq = par)
@@ -588,11 +588,11 @@ let test_runtime_parallel_weighted () =
     [| (V.Int 1, V.Int 3); (V.Int 2, V.Int 4); (V.Int 1, V.Int 4) |]
   in
   let seq =
-    Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights weights)
+    fst @@ Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights weights)
       ~pairs ()
   in
   let par =
-    Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights weights)
+    fst @@ Graph.Runtime.run_pairs rt ~weights:(Graph.Runtime.Int_weights weights)
       ~domains:3 ~pairs ()
   in
   check tbool "identical outcomes" true (seq = par)
@@ -620,53 +620,97 @@ let skewed_setup () =
 
 (* A skewed source distribution must produce actual steals. Stealing is
    timing-dependent (the OS decides when workers run), so retry a few
-   times; [oversubscribe] forces multiple workers even on one core. *)
+   times; [oversubscribe] forces multiple workers even on one core. The
+   steal and task counts are the ones [run_pairs] returns for its batch. *)
 let test_sched_skewed_steals () =
   let rt, pairs, _ = skewed_setup () in
+  let run () =
+    snd
+      (Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+         ~engine:`Batched ~domains:4 ~oversubscribe:true ~pairs ())
+  in
   let stole = ref false in
   let attempts = ref 0 in
   while (not !stole) && !attempts < 10 do
     incr attempts;
-    let before = (Graph.Runtime.sched_counters rt).Graph.Runtime.sc_steals in
-    ignore
-      (Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
-         ~engine:`Batched ~domains:4 ~oversubscribe:true ~pairs ());
-    let after = (Graph.Runtime.sched_counters rt).Graph.Runtime.sc_steals in
-    if after > before then stole := true
+    let c = run () in
+    let sc = c.Graph.Runtime.sched in
+    check tbool "wave tasks executed" true (sc.Graph.Sched.tasks > 0);
+    if sc.Graph.Sched.steals > 0 then stole := true
   done;
-  check tbool "steals observed under skew" true !stole;
-  let sc = Graph.Runtime.sched_counters rt in
-  check tbool "wave tasks executed" true (sc.Graph.Runtime.sc_tasks > 0)
+  check tbool "steals observed under skew" true !stole
 
-(* Deterministic counter absorption: the wave partition is fixed by the
-   batch alone (never by worker count or steal order), so the per-worker
-   counters folded in at the join must sum to identical totals for every
-   domains >= 2 — and searches must equal the distinct-source count. *)
+(* Deterministic counters: the wave partition is fixed by the batch alone
+   (never by worker count or steal order), so the per-worker counters
+   summed at the join must be identical for every domains value — the
+   single worker of domains=1 included — and searches must equal the
+   distinct-source count. *)
 let test_sched_counter_conservation () =
   let rt, pairs, nsources = skewed_setup () in
-  let delta domains =
-    let b = Graph.Runtime.traversal_counters rt in
-    ignore
-      (Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
-         ~engine:`Batched ~domains ~oversubscribe:true ~pairs ());
-    let a = Graph.Runtime.traversal_counters rt in
-    Graph.Workspace.
-      ( a.searches - b.searches,
-        a.settled - b.settled,
-        a.edges_scanned - b.edges_scanned,
-        a.waves - b.waves,
-        a.dir_switches - b.dir_switches )
+  let counters domains =
+    let _, c =
+      Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+        ~engine:`Batched ~domains ~oversubscribe:true ~pairs ()
+    in
+    Graph.Workspace.(
+      let t = c.Graph.Runtime.traversal in
+      (t.searches, t.settled, t.edges_scanned, t.waves, t.dir_switches))
   in
-  let d2 = delta 2 in
-  let d4 = delta 4 in
-  let d8 = delta 8 in
+  let d1 = counters 1 in
+  let d2 = counters 2 in
+  let d4 = counters 4 in
+  let d8 = counters 8 in
+  check tbool "domains=1 = domains=2" true (d1 = d2);
   check tbool "domains=2 = domains=4" true (d2 = d4);
   check tbool "domains=4 = domains=8" true (d4 = d8);
-  let searches, settled, edges, waves, _ = d2 in
+  let searches, settled, edges, waves, _ = d1 in
   check tint "searches = distinct sources" nsources searches;
   check tbool "settled counted" true (settled > 0);
   check tbool "edges counted" true (edges > 0);
   check tint "waves = ceil(sources/63)" ((nsources + 62) / 63) waves
+
+(* Every session of a server shares one cached runtime. Two domains
+   running single-pair batches against it at once must each get the
+   answer, and the batch counters, a serial scalar run gives: no batch
+   may touch the workspace of a batch in flight on the other domain. *)
+let test_runtime_shared_by_two_domains () =
+  let rng = Random.State.make [| 13 |] in
+  let n = 3000 and m = 24_000 in
+  let col () =
+    C.of_int_array (Array.init m (fun _ -> Random.State.int rng n))
+  in
+  let src = col () in
+  let rt = Graph.Runtime.build ~src ~dst:(col ()) in
+  Graph.Runtime.prepare_bidir rt;
+  let per_worker = 300 in
+  let pairs =
+    Array.init 2 (fun _ ->
+        Array.init per_worker (fun _ ->
+            (V.Int (Random.State.int rng n), V.Int (Random.State.int rng n))))
+  in
+  let answer ?engine p =
+    let out, c =
+      Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ?engine
+        ~pairs:[| p |] ()
+    in
+    let t = c.Graph.Runtime.traversal in
+    Graph.Workspace.(out.(0), (t.searches, t.settled, t.edges_scanned))
+  in
+  let expected = Array.map (Array.map (answer ~engine:`Scalar)) pairs in
+  let worker k () =
+    let wrong = ref 0 in
+    Array.iteri
+      (fun i p ->
+        match answer p with
+        | a -> if a <> expected.(k).(i) then incr wrong
+        | exception _ -> incr wrong)
+      pairs.(k);
+    !wrong
+  in
+  let domains = Array.init 2 (fun k -> Domain.spawn (worker k)) in
+  let wrong = Array.map Domain.join domains in
+  check tint "worker 0: wrong or failed answers" 0 wrong.(0);
+  check tint "worker 1: wrong or failed answers" 0 wrong.(1)
 
 let test_runtime_reachable_api () =
   let rt = diamond_runtime () in
@@ -869,6 +913,8 @@ let () =
             test_sched_skewed_steals;
           Alcotest.test_case "counter conservation" `Quick
             test_sched_counter_conservation;
+          Alcotest.test_case "shared by two domains" `Quick
+            test_runtime_shared_by_two_domains;
           Alcotest.test_case "build stats" `Quick test_runtime_stats;
         ] );
     ]

@@ -200,7 +200,7 @@ let prop_radix_equals_binary =
         Graph.Runtime.Int_weights (Array.map (fun x -> x.w) e)
       in
       let vp = value_pairs pairs in
-      let run heap = Graph.Runtime.run_pairs rt ~weights ~heap ~pairs:vp () in
+      let run heap = fst @@ Graph.Runtime.run_pairs rt ~weights ~heap ~pairs:vp () in
       let radix = run Graph.Dijkstra.Radix in
       let binary = run Graph.Dijkstra.Binary in
       List.for_all
@@ -228,7 +228,7 @@ let prop_domains_deterministic =
       let rt = build_runtime edges in
       let vp = value_pairs pairs in
       let run domains =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~domains
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~domains
           ~pairs:vp ()
       in
       outcomes_agree (run 1) (run 4))
@@ -252,7 +252,7 @@ let prop_domains_fault_then_recover =
       Sqlgraph.Fault.set (Some (Sqlgraph.Fault.At_site "bfs"));
       let aborted =
         match
-          Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+          fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
             ~domains:4 ~check ~pairs:vp ()
         with
         | _ -> false
@@ -260,11 +260,11 @@ let prop_domains_fault_then_recover =
       in
       Sqlgraph.Fault.clear ();
       let serial =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~pairs:vp
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~pairs:vp
           ()
       in
       let parallel =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
           ~domains:4 ~check ~pairs:vp ()
       in
       aborted && outcomes_agree serial parallel)
@@ -324,7 +324,7 @@ let prop_batched_equals_scalar =
       let rt = build_runtime edges in
       let vp = value_pairs pairs in
       let run ?domains engine =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ?domains
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ?domains
           ~engine ~pairs:vp ()
       in
       let scalar = run `Scalar in
@@ -355,7 +355,7 @@ let prop_batched_fault_then_recover =
       Sqlgraph.Fault.set (Some (Sqlgraph.Fault.At_site "bfs"));
       let aborted =
         match
-          Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+          fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
             ~domains:4 ~check ~engine:`Batched ~pairs:vp ()
         with
         | _ -> false
@@ -363,11 +363,11 @@ let prop_batched_fault_then_recover =
       in
       Sqlgraph.Fault.clear ();
       let scalar =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
           ~engine:`Scalar ~pairs:vp ()
       in
       let batched =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
           ~domains:4 ~check ~engine:`Batched ~pairs:vp ()
       in
       (aborted || not has_hop) && outcomes_identical scalar batched)
@@ -386,13 +386,13 @@ let prop_sched_identical_all_domains =
       Graph.Runtime.prepare_bidir rt;
       let vp = value_pairs pairs in
       let serial =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
           ~engine:`Scalar ~pairs:vp ()
       in
       List.for_all
         (fun domains ->
           outcomes_identical serial
-            (Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+            (fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
                ~engine:`Batched ~domains ~oversubscribe:true ~pairs:vp ()))
         [ 2; 4; 8 ])
 
@@ -410,11 +410,11 @@ let prop_sched_fault_and_cancel =
       let vp = value_pairs (List.map (fun e -> (e.src, e.dst)) edges) in
       let has_hop = List.exists (fun e -> e.src <> e.dst) edges in
       let run ?check ~domains () =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~domains
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ~domains
           ~oversubscribe:true ?check ~engine:`Batched ~pairs:vp ()
       in
       let scalar =
-        Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+        fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
           ~engine:`Scalar ~pairs:vp ()
       in
       (* leg 1: a one-shot fault at the "bfs" site aborts the whole batch *)

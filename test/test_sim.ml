@@ -169,7 +169,7 @@ let test_engines_agree_after_mutation () =
       (Datagen.Workload.random_pairs ~seed:7 ~ids 64)
   in
   let run ?domains engine =
-    Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ?domains
+    fst @@ Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ?domains
       ~engine ~pairs ()
   in
   let scalar = run `Scalar in
